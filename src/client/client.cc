@@ -8,7 +8,6 @@
 #include <cstring>
 
 #include "util/coding.h"
-#include "util/crc32c.h"
 #include "util/env.h"
 
 namespace lilsm {
@@ -77,43 +76,45 @@ Status Client::RoundTrip(wire::MessageType request_type, const Slice& body,
     return s;
   }
 
-  char header[wire::kFrameHeaderBytes];
+  // Read the header, then the rest of the frame it declares; the length,
+  // CRC and payload-shape checks are wire::DecodeFrame's, shared with the
+  // server. Any failure loses the framing, so the connection closes.
+  auto fail = [this](Status status) {
+    Close();
+    return status;
+  };
+  recv_buf_.resize(wire::kFrameHeaderBytes);
   size_t got = 0;
-  s = FullyReadFd(fd_, header, sizeof(header), &got);
-  if (s.ok() && got < sizeof(header)) {
+  s = FullyReadFd(fd_, recv_buf_.data(), recv_buf_.size(), &got);
+  if (s.ok() && got < recv_buf_.size()) {
     s = Status::IOError("server closed the connection");
   }
-  if (!s.ok()) {
-    Close();
-    return s;
+  if (!s.ok()) return fail(s);
+  wire::Frame frame;
+  wire::DecodeResult result =
+      wire::DecodeFrame(&recv_buf_, wire::kMaxPayloadBytes, &frame);
+  if (result == wire::DecodeResult::kNeedMore) {
+    const uint32_t payload_len = DecodeFixed32(recv_buf_.data());
+    recv_buf_.resize(wire::kFrameHeaderBytes + payload_len);
+    s = FullyReadFd(fd_, recv_buf_.data() + wire::kFrameHeaderBytes,
+                    payload_len, &got);
+    if (s.ok() && got < payload_len) {
+      s = Status::IOError("server closed mid-frame");
+    }
+    if (!s.ok()) return fail(s);
+    result = wire::DecodeFrame(&recv_buf_, wire::kMaxPayloadBytes, &frame);
   }
-  const uint32_t payload_len = DecodeFixed32(header);
-  if (payload_len < 5 || payload_len > wire::kMaxPayloadBytes) {
-    Close();
-    return Status::Corruption("response frame length out of range");
+  if (result == wire::DecodeResult::kBadCrc) {
+    return fail(Status::Corruption("response frame checksum mismatch"));
   }
-  std::string payload(payload_len, '\0');
-  s = FullyReadFd(fd_, payload.data(), payload_len, &got);
-  if (s.ok() && got < payload_len) {
-    s = Status::IOError("server closed mid-frame");
+  if (result != wire::DecodeResult::kFrame) {
+    return fail(Status::Corruption("response frame length out of range"));
   }
-  if (!s.ok()) {
-    Close();
-    return s;
+  if (frame.request_id != request_id) {
+    return fail(Status::Corruption("response for a different request"));
   }
-  const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(header + 4));
-  if (crc32c::Value(payload.data(), payload_len) != expected_crc) {
-    Close();
-    return Status::Corruption("response frame checksum mismatch");
-  }
-  const auto type = static_cast<wire::MessageType>(payload[0]);
-  const uint32_t echoed_id = DecodeFixed32(payload.data() + 1);
-  if (echoed_id != request_id) {
-    Close();
-    return Status::Corruption("response for a different request");
-  }
-  response->assign(payload.data() + 5, payload_len - 5);
-  if (type == wire::MessageType::kErrorResponse) {
+  *response = std::move(frame.body);
+  if (frame.type == wire::MessageType::kErrorResponse) {
     // The server refused the request outright (malformed frame body,
     // unknown type). It will close the connection; mirror that.
     wire::StatusResponse err;
@@ -124,9 +125,8 @@ Status Client::RoundTrip(wire::MessageType request_type, const Slice& body,
     return err.status.ok() ? Status::IOError("server rejected the request")
                            : err.status;
   }
-  if (type != expected_response) {
-    Close();
-    return Status::Corruption("unexpected response type");
+  if (frame.type != expected_response) {
+    return fail(Status::Corruption("unexpected response type"));
   }
   return Status::OK();
 }

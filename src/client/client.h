@@ -111,6 +111,7 @@ class Client {
   int fd_ = -1;
   uint32_t next_request_id_ = 1;
   std::string send_buf_;
+  std::string recv_buf_;
 };
 
 }  // namespace lilsm

@@ -74,7 +74,10 @@ void CompactionJob::MergeShard(const VersionSet::CompactionPick& pick,
   // One iterator per input file overlapping this shard's range; the
   // merging iterator handles ordering and newest-first tie-breaks. Every
   // version of a key is merged by the one shard owning the key, so the
-  // shadowing dedup below stays exact.
+  // shadowing dedup below stays exact. The readers are held for the whole
+  // merge: a table iterator borrows its reader, and the table cache may
+  // evict (and free) an input while opening the next one.
+  std::vector<std::shared_ptr<TableReader>> readers;
   std::vector<std::unique_ptr<TableIterator>> children;
   for (const std::vector<FileMeta>* inputs :
        {&pick.inputs, &pick.next_inputs}) {
@@ -91,6 +94,7 @@ void CompactionJob::MergeShard(const VersionSet::CompactionPick& pick,
       // would evict the point-lookup hot set for blocks about to die.
       children.push_back(
           reader->NewIterator(/*fill_cache=*/false, ctx_.input_readahead));
+      readers.push_back(std::move(reader));
     }
   }
   std::unique_ptr<TableIterator> iter =

@@ -56,14 +56,15 @@ class ErrorIterator final : public Iterator {
 //    claim disjoint work under the mutex: at most one flush
 //    (bg_flush_active_) plus compactions at disjoint level pairs
 //    (level_busy_ marks [L, L+1] occupied).
-//  * Under DBOptions::group_commit, being at the FRONT of writers_ is the
-//    exclusive-writer token: the queue leader appends to the WAL and
+//  * Being at the FRONT of writers_ is the exclusive-writer token: every
+//    Write goes through the queue, and its leader appends to the WAL and
 //    inserts into mem_ with mutex_ released. Non-Write paths that switch
 //    the memtable or roll the WAL first park a batchless barrier Writer
 //    at the queue front. See DESIGN.md "Write path & concurrency".
 //
 // ConcurrencyMode::kInline never schedules anything: maintenance runs on
-// the calling thread under mutex_, byte-for-byte the old inline engine.
+// the calling thread, which holds the queue front for the whole flush and
+// compaction, so inline merges (which drop mutex_) never overlap.
 class DBImpl final : public DB {
  public:
   DBImpl(const DBOptions& options, std::string dbname)
@@ -164,7 +165,11 @@ class DBImpl final : public DB {
       // re-reads), so the first reads need no build.
       PrefillLevelModelsLocked();
     }
-    return RemoveObsoleteFiles();
+    s = RemoveObsoleteFiles();
+    // kBackground: the recovered tree (plus the flush above) may already
+    // need compaction; no write may come to trigger it.
+    if (s.ok()) MaybeScheduleBackgroundWork();
+    return s;
   }
 
   Status Put(const WriteOptions& wopts, Key key, const Slice& value) override {
@@ -182,42 +187,7 @@ class DBImpl final : public DB {
   Status Write(const WriteOptions& wopts, WriteBatch* batch) override {
     if (batch->Count() == 0) return Status::OK();
     MutexLock lock(&mutex_);
-    if (options_.group_commit) return WriteGrouped(wopts, batch);
-    if (background_mode()) {
-      Status rs = MakeRoomForWrite();
-      if (!rs.ok()) return rs;
-    }
-
-    const SequenceNumber seq = versions_->last_sequence() + 1;
-    WriteBatch::SetSequence(batch, seq);
-
-    Status s;
-    if (!wopts.disable_wal) {
-      // Per-call override first, DB-wide default second: a load phase can
-      // run unsynced (or fully WAL-less) against a durable-by-default DB,
-      // and a critical write can force a sync against a lazy one.
-      s = wal_->AddRecord(batch->Contents());
-      if (!s.ok()) return s;
-      if (wopts.sync.value_or(options_.sync_wal)) {
-        s = wal_->Sync();
-      } else {
-        s = wal_->Flush();
-      }
-      if (!s.ok()) return s;
-    }
-
-    s = batch->InsertInto(mem_, seq);
-    if (!s.ok()) return s;
-    versions_->SetLastSequence(seq + batch->Count() - 1);
-    stats_.Add(Counter::kWrites, batch->Count());
-
-    if (!background_mode() &&
-        mem_->ApproximateMemoryUsage() >= options_.write_buffer_size) {
-      s = WriteLevel0TableLocked();
-      if (!s.ok()) return s;
-      s = CompactUntilStableLocked();
-    }
-    return s;
+    return WriteLocked(wopts, batch);
   }
 
   Status Get(const ReadOptions& ropts, Key key, std::string* value) override {
@@ -312,41 +282,47 @@ class DBImpl final : public DB {
   Status FlushMemTable() override {
     MutexLock lock(&mutex_);
     // The memtable switch below must not race an off-mutex group leader:
-    // park a barrier at the writer-queue front for its duration. The
-    // settle phase after touches only the version tree, so writers resume
-    // as soon as the switch lands.
+    // park a barrier at the writer-queue front. In kBackground the settle
+    // touches only the version tree, so writers resume as soon as the
+    // switch lands; under kInline the settle's merges run on this thread
+    // and keep the barrier until they finish.
     Writer barrier(&mutex_);
     AcquireWriteQueue(&barrier);
     Status s = background_mode() ? SwitchMemTable()
                                  : WriteLevel0TableLocked();
-    ReleaseWriteQueue(&barrier);
-    if (!s.ok()) return s;
-    return CompactUntilStableLocked();
+    if (background_mode()) ReleaseWriteQueue(&barrier);
+    if (s.ok()) s = CompactUntilStableLocked();
+    if (!background_mode()) ReleaseWriteQueue(&barrier);
+    return s;
   }
 
   Status CompactUntilStable() override {
     MutexLock lock(&mutex_);
-    return CompactUntilStableLocked();
+    if (background_mode()) return CompactUntilStableLocked();
+    // kInline merges run on this thread: hold the writer-queue front so
+    // no writer leader's inline maintenance picks the same inputs.
+    Writer barrier(&mutex_);
+    AcquireWriteQueue(&barrier);
+    Status s = CompactUntilStableLocked();
+    ReleaseWriteQueue(&barrier);
+    return s;
   }
 
   Status CompactAll() override {
     MutexLock lock(&mutex_);
-    Status s;
-    {
-      Writer barrier(&mutex_);
-      AcquireWriteQueue(&barrier);
-      s = background_mode() ? SwitchMemTable()
-                            : WriteLevel0TableLocked();
-      ReleaseWriteQueue(&barrier);
-    }
-    if (!s.ok()) return s;
+    // Same barrier discipline as FlushMemTable: kBackground releases it
+    // once the switch lands, kInline keeps it through the merges.
+    Writer barrier(&mutex_);
+    AcquireWriteQueue(&barrier);
+    Status s = background_mode() ? SwitchMemTable()
+                                 : WriteLevel0TableLocked();
     if (background_mode()) {
+      ReleaseWriteQueue(&barrier);
       // Drain all queued maintenance first so the full merge below starts
       // from a settled tree (callers are quiescent, per the API contract).
-      s = WaitForBackgroundIdle();
-      if (!s.ok()) return s;
+      if (s.ok()) s = WaitForBackgroundIdle();
     }
-    for (int level = 0; level < kNumLevels - 1; level++) {
+    for (int level = 0; s.ok() && level < kNumLevels - 1; level++) {
       VersionSet::CompactionPick pick;
       if (!versions_->PickFullCompaction(level, &pick)) continue;
       // Stop pushing once this is the deepest populated level.
@@ -356,9 +332,9 @@ class DBImpl final : public DB {
       }
       if (!deeper && level > 0) break;
       s = RunCompaction(pick);
-      if (!s.ok()) return s;
     }
-    return Status::OK();
+    if (!background_mode()) ReleaseWriteQueue(&barrier);
+    return s;
   }
 
   Status ReconfigureIndexes(IndexType type, const IndexConfig& config) override {
@@ -1011,16 +987,20 @@ class DBImpl final : public DB {
     CondVar cv;  // waits under the DB mutex the Writer queues behind
   };
 
-  /// Group commit (DBOptions::group_commit): LevelDB's writer queue.
-  /// Every writer parks in writers_; the front writer leads, coalescing
-  /// the queue prefix into one batch, committing it with mutex_ RELEASED
-  /// (queue front = exclusive-writer token; the memtable is single-writer
+  /// The write path: LevelDB's writer queue (group commit). Every write
+  /// parks in writers_; the front writer leads, coalescing the queue
+  /// prefix into one batch, committing it with mutex_ RELEASED (queue
+  /// front = exclusive-writer token; the memtable is single-writer
   /// multi-reader safe), then distributing the shared status. One WAL
-  /// append and at most one fsync serve the whole group.
-  Status WriteGrouped(const WriteOptions& wopts, WriteBatch* my_batch)
+  /// append and at most one fsync serve the whole group; a group of one
+  /// appends exactly the record of its own batch.
+  Status WriteLocked(const WriteOptions& wopts, WriteBatch* my_batch)
       REQUIRES(mutex_) {
     Writer w(&mutex_);
     w.batch = my_batch;
+    // Per-call override first, DB-wide default second: a load phase can
+    // run unsynced against a durable-by-default DB, and a critical write
+    // can force a sync against a lazy one.
     w.sync = wopts.sync.value_or(options_.sync_wal);
     w.disable_wal = wopts.disable_wal;
     writers_.push_back(&w);
@@ -1077,7 +1057,8 @@ class DBImpl final : public DB {
     if (s.ok() && !background_mode() &&
         mem_->ApproximateMemoryUsage() >= options_.write_buffer_size) {
       // Inline maintenance runs while this writer still holds the queue
-      // front, so the memtable swap below cannot race a later leader.
+      // front, so neither the memtable swap nor the merges below can race
+      // a later leader or a FlushMemTable/CompactUntilStable caller.
       s = WriteLevel0TableLocked();
       if (s.ok()) s = CompactUntilStableLocked();
     }
@@ -1139,10 +1120,10 @@ class DBImpl final : public DB {
 
   /// Parks `w` as a barrier at the writer-queue front: once acquired, no
   /// group leader is off-mutex and none can start, so the caller may
-  /// switch the memtable or roll the WAL. No-op when group commit is off
-  /// (holding mutex_ alone is the exclusive-writer token then).
+  /// switch the memtable, roll the WAL, or (kInline) run maintenance that
+  /// drops mutex_ without another thread's inline merge picking the same
+  /// inputs.
   void AcquireWriteQueue(Writer* w) REQUIRES(mutex_) {
-    if (!options_.group_commit) return;
     w->batch = nullptr;
     writers_.push_back(w);
     while (w != writers_.front()) {
@@ -1153,7 +1134,6 @@ class DBImpl final : public DB {
   /// Releases a barrier taken by AcquireWriteQueue and wakes the next
   /// queued writer. REQUIRES mutex_.
   void ReleaseWriteQueue(Writer* w) REQUIRES(mutex_) {
-    if (!options_.group_commit) return;
     LILSM_ASSERT(!writers_.empty() && writers_.front() == w);
     (void)w;
     writers_.pop_front();
@@ -1808,9 +1788,9 @@ class DBImpl final : public DB {
   // schedules through the Env, as always). Destroyed after the destructor
   // drains bg_jobs_, so it is idle by then.
   std::unique_ptr<ThreadPool> bg_pool_;
-  // Group-commit writer queue (guarded by mutex_): front = leader or
-  // barrier holder, i.e. the one thread allowed to touch wal_ and mem_
-  // with the mutex released. Empty whenever group_commit is off.
+  // The writer queue (guarded by mutex_): front = leader or barrier
+  // holder, i.e. the one thread allowed to touch wal_ and mem_ with the
+  // mutex released, and under kInline the one thread running maintenance.
   std::deque<Writer*> writers_ GUARDED_BY(mutex_);
   /// Leader's coalescing scratch; queue-front owned.
   WriteBatch tmp_batch_ GUARDED_BY(mutex_);

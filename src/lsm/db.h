@@ -15,9 +15,10 @@
 //    versions, so Get and iterators run concurrently with mutation, and
 //    Snapshot handles give repeatable point-in-time reads.
 //
-// The parallel write path is opt-in on top of either mode (all default
-// off; see DESIGN.md "Write path & concurrency architecture"):
-// group_commit batches concurrent writers through a leader,
+// Every write goes through one writer queue in either mode: concurrent
+// writers batch through a leader (group commit), and a lone writer's
+// group of one appends exactly its own batch. Parallel maintenance is
+// opt-in (see DESIGN.md "Write path & concurrency architecture"):
 // max_background_jobs > 1 runs flush ∥ compaction and disjoint-level
 // compactions concurrently, and max_subcompactions > 1 range-partitions
 // one large compaction across threads.
@@ -89,6 +90,8 @@ enum class ModelPersistence : uint8_t {
 enum class ConcurrencyMode : uint8_t {
   /// Maintenance runs inline on the writing thread; the engine is
   /// single-threaded and deterministic (every paper figure uses this).
+  /// Concurrent callers are safe: inline flushes and compactions run one
+  /// at a time, on whichever thread holds the front of the writer queue.
   kInline = 0,
   /// Maintenance runs on Env::Schedule's background thread; writers only
   /// stall on the slowdown/stop triggers and readers never block.
@@ -186,12 +189,8 @@ struct DBOptions {
   /// l0_slowdown_trigger.
   int l0_stop_trigger = 12;
 
-  /// Group commit (LevelDB's writer queue): concurrent Write calls link
-  /// into a queue; the front writer becomes leader, coalesces the queued
-  /// batches into one WAL record and one memtable apply, and amortizes a
-  /// single fsync across the group. Off (default) keeps the serial write
-  /// path byte-identical to earlier releases; kInline measurements are
-  /// unaffected either way (one writer never forms a group > 1).
+  /// Ignored. Every write now goes through the group-commit writer queue;
+  /// the field is kept only so existing assignments still compile.
   bool group_commit = false;
 
   /// kBackground only: how many flushes/compactions may run at once. 1
@@ -251,10 +250,10 @@ struct DBOptions {
   /// read path synchronous and byte-identical to earlier releases
   /// (including SimEnv latency/counter accounting). Above 1, MultiGet
   /// fetches the io-blocks of all runs of a level concurrently through
-  /// Env::NewReadBatch (io_uring when available, a thread-pool backend
-  /// otherwise), and compaction input iterators read ahead up to this
-  /// many blocks. Results are always bit-identical to the synchronous
-  /// path; only timing and batching counters differ.
+  /// Env::NewReadBatch (a thread-pool backend on Posix), and compaction
+  /// input iterators read ahead up to this many blocks. Results are
+  /// always bit-identical to the synchronous path; only timing and
+  /// batching counters differ.
   int io_depth = 1;
 
   /// Sanity-checks the option values against the engine's invariants;

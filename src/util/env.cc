@@ -14,7 +14,6 @@
 #include <cstring>
 #include <thread>
 
-#include "util/env_uring.h"
 #include "util/mutex.h"
 #include "util/thread_pool.h"
 
@@ -350,14 +349,6 @@ class PosixEnv final : public Env {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-  }
-
-  std::unique_ptr<ReadBatch> NewReadBatch(int io_depth) override {
-    // Prefer the io_uring backend when the build found liburing and the
-    // kernel accepts ring setup; otherwise the portable pool backend.
-    std::unique_ptr<ReadBatch> ring = TryNewUringReadBatch(io_depth);
-    if (ring != nullptr) return ring;
-    return Env::NewReadBatch(io_depth);
   }
 };
 

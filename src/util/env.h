@@ -37,8 +37,8 @@ class RandomAccessFile {
     return Read(offset, n, result, scratch);
   }
 
-  /// OS file descriptor for backends that submit raw syscalls (io_uring),
-  /// or -1 when the file is not backed by one (wrappers, in-memory files).
+  /// OS file descriptor backing this file, or -1 when there is none
+  /// (wrappers, in-memory files).
   virtual int FileDescriptor() const { return -1; }
 };
 
@@ -147,9 +147,8 @@ class Env {
   /// Creates a batch that keeps up to `io_depth` reads in flight at once
   /// (clamped to at least 1). The default backend fans submissions out
   /// over a process-wide I/O ThreadPool, with the waiting thread also
-  /// pulling requests; PosixEnv upgrades to io_uring when the build found
-  /// liburing (LILSM_WITH_URING); SimEnv returns a deterministic
-  /// queue-depth model instead of real concurrency.
+  /// pulling requests; SimEnv returns a deterministic queue-depth model
+  /// instead of real concurrency.
   virtual std::unique_ptr<ReadBatch> NewReadBatch(int io_depth);
 };
 

@@ -299,6 +299,41 @@ TEST_F(DbConcurrencyTest, CleanCloseAndRecoverWithQueuedWork) {
   }
 }
 
+// DB::Open must schedule maintenance that is already pending. Every open
+// flushes the replayed WAL into one more L0 file; the inline rounds below
+// (which never schedule anything) leave L0 one file short of the
+// compaction trigger, so the final background open lands exactly on it
+// and must get a compaction going with no write to prompt it.
+TEST_F(DbConcurrencyTest, OpenSchedulesPendingCompaction) {
+  const DBOptions options = BackgroundDbOptions();
+  DBOptions inline_options = options;
+  inline_options.concurrency = ConcurrencyMode::kInline;
+  const int trigger = options.l0_compaction_trigger;
+  uint64_t keys = 0;
+  for (int round = 0; round < trigger; round++) {
+    Open(inline_options);
+    for (int i = 0; i < 50; i++, keys++) {
+      const Key key = KeyFor(0, keys);
+      ASSERT_LILSM_OK(db_->Put(key, ValueFor(key, 1)));
+    }
+    db_.reset();  // close unflushed: the next open replays the WAL
+  }
+  Open(options);
+  Env* env = Env::Default();
+  const uint64_t deadline = env->NowNanos() + uint64_t{10} * 1'000'000'000;
+  while (db_->NumFilesAtLevel(0) >= trigger && env->NowNanos() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_LT(db_->NumFilesAtLevel(0), trigger);
+  EXPECT_GT(db_->stats()->Count(Counter::kCompactions), 0u);
+  std::string value;
+  for (uint64_t i = 0; i < keys; i++) {
+    const Key key = KeyFor(0, i);
+    ASSERT_LILSM_OK(db_->Get(key, &value));
+    ASSERT_EQ(value, ValueFor(key, 1));
+  }
+}
+
 // The two modes must agree: the same workload produces identical logical
 // contents inline and in background mode.
 TEST_F(DbConcurrencyTest, ModesAgreeOnFinalContents) {
@@ -542,17 +577,15 @@ TEST_F(DbConcurrencyTest, MultiGetUnderConcurrentMaintenanceWithSnapshot) {
 }
 
 // Regression test for a thread-safety-analysis finding in the group-commit
-// leader: WriteGrouped dereferenced the mutex-guarded wal_/mem_ members
-// AFTER dropping the DB mutex, relying implicitly on the queue-front token
-// to keep them stable. The fix snapshots both into locals under the mutex
+// leader: it dereferenced the mutex-guarded wal_/mem_ members AFTER
+// dropping the DB mutex, relying implicitly on the queue-front token to
+// keep them stable. The fix snapshots both into locals under the mutex
 // before unlocking. This test hammers that exact window: grouped sync and
 // non-sync writers racing explicit memtable switches (FlushMemTable swaps
 // mem_ and rolls wal_), so any return to off-mutex member access shows up
 // as a data race under TSan.
 TEST_F(DbConcurrencyTest, GroupCommitLeaderRacesMemtableSwitch) {
-  DBOptions options = BackgroundDbOptions();
-  options.group_commit = true;
-  Open(options);
+  Open();
 
   constexpr int kWriters = 4;
   constexpr uint64_t kPerWriter = 400;

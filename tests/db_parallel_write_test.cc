@@ -32,7 +32,6 @@ constexpr uint32_t kValueSize = 48;
 DBOptions ParallelDbOptions() {
   DBOptions options;
   options.concurrency = ConcurrencyMode::kBackground;
-  options.group_commit = true;
   options.write_buffer_size = 64 << 10;    // tiny: frequent switches
   options.sstable_target_size = 32 << 10;  // many small tables
   options.l0_compaction_trigger = 2;
@@ -192,7 +191,7 @@ class DbParallelWriteTest : public ::testing::Test {
   std::unique_ptr<DB> db_;
 };
 
-// The core equivalence claim: with group commit on, N concurrent writers
+// The core equivalence claim: through the writer queue, N concurrent writers
 // with disjoint key stripes produce exactly the state serial application
 // of their streams would, both live and after a close/reopen WAL replay.
 TEST_F(DbParallelWriteTest, GroupCommitEquivalentToSerialApplication) {
@@ -358,7 +357,6 @@ TEST_F(DbParallelWriteTest, SyncJoinerUpgradesGroupSync) {
   GatedWalEnv env(Env::Default());
   DBOptions options;  // kInline: no background work muddies the counters
   options.env = &env;
-  options.group_commit = true;
   options.value_size = kValueSize;
   Open(options, "sync_upgrade");
 

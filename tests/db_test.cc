@@ -128,6 +128,29 @@ TEST_F(DbTest, FlushAndCompactionPreserveData) {
   VerifyAgainstModel(model);
 }
 
+// A table cache of one reader: opening a compaction's second input evicts
+// the first, so the merge must hold its inputs' readers itself instead of
+// borrowing them from the cache.
+TEST_F(DbTest, CompactionWithOneOpenTableKeepsInputsAlive) {
+  DBOptions options = SmallDbOptions();
+  options.max_open_tables = 1;
+  Open(options);
+  std::map<Key, std::string> model;
+  std::vector<Key> keys = RandomGapKeys(6000, 23);
+  Random rnd(23);
+  for (size_t i = keys.size(); i > 1; i--) {
+    std::swap(keys[i - 1], keys[rnd.Uniform(i)]);
+  }
+  for (Key key : keys) {
+    const std::string value = ValueFor(key, 0);
+    ASSERT_LILSM_OK(db_->Put(key, value));
+    model[key] = value;
+  }
+  ASSERT_LILSM_OK(db_->FlushMemTable());
+  EXPECT_GT(db_->stats()->Count(Counter::kCompactions), 0u);
+  VerifyAgainstModel(model);
+}
+
 TEST_F(DbTest, RandomOpsMatchReferenceModel) {
   Open();
   std::map<Key, std::string> model;

@@ -48,7 +48,6 @@ DBOptions EquivalenceDbOptions() {
   options.sstable_target_size = 32 << 10;
   options.l0_compaction_trigger = 2;
   options.value_size = kValueSize;
-  options.group_commit = true;
   return options;
 }
 

@@ -39,7 +39,6 @@ DBOptions ServerDbOptions() {
   options.sstable_target_size = 32 << 10;
   options.l0_compaction_trigger = 2;
   options.value_size = kValueSize;  // flushed tables need fixed-size values
-  options.group_commit = true;      // concurrent client writes coalesce
   return options;
 }
 
@@ -330,6 +329,73 @@ TEST_F(ServerTest, OversizedFrameRejectedBeforeBuffering) {
   SendAll(fd, header);
   EXPECT_TRUE(ExpectErrorThenEof(fd).IsInvalidArgument());
   ::close(fd);
+}
+
+// The client decodes responses with the server's frame decoder: a
+// response with a bad CRC, an oversized or undersized length, or another
+// request's id must surface as Corruption and close the connection —
+// never a crash, a hang, or an allocation sized by the garbage. A fake
+// unix-socket peer answers the client's Ping with each damaged frame.
+TEST_F(ServerTest, ClientRejectsMalformedResponseFrames) {
+  std::string good_body;
+  wire::StatusResponse ok_resp;
+  ok_resp.EncodeTo(&good_body);
+  std::string bad_crc;
+  wire::EncodeFrame(&bad_crc, wire::MessageType::kPingResponse, 1,
+                    good_body);
+  bad_crc[bad_crc.size() - 1] ^= 0x01;
+  std::string oversized;
+  PutFixed32(&oversized, wire::kMaxPayloadBytes + 1);
+  PutFixed32(&oversized, 0);
+  std::string undersized;
+  PutFixed32(&undersized, 3);
+  PutFixed32(&undersized, 0);
+  undersized.append(3, '\0');
+  std::string wrong_id;
+  wire::EncodeFrame(&wrong_id, wire::MessageType::kPingResponse, 7,
+                    good_body);
+
+  const std::string path = dir_.file("fake.sock");
+  for (const std::string& response :
+       {bad_crc, oversized, undersized, wrong_id}) {
+    ::unlink(path.c_str());
+    const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(listen_fd, 0);
+    struct ::sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size());
+    ASSERT_EQ(::bind(listen_fd, reinterpret_cast<struct ::sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listen_fd, 1), 0);
+    // Connecting completes against the listen backlog, before any accept.
+    std::unique_ptr<Client> client;
+    ASSERT_LILSM_OK(Client::Connect(path, &client));
+    // The peer reads the request frame, sends the damaged response, then
+    // holds the connection until the client hangs up.
+    std::thread peer([listen_fd, &response] {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      char header[wire::kFrameHeaderBytes];
+      size_t got = 0;
+      if (FullyReadFd(fd, header, sizeof(header), &got).ok() &&
+          got == sizeof(header)) {
+        std::string payload(DecodeFixed32(header), '\0');
+        if (FullyReadFd(fd, payload.data(), payload.size(), &got).ok()) {
+          SendAll(fd, response);
+        }
+      }
+      ReadUntilEof(fd);
+      ::close(fd);
+    });
+    const Status s = client->Ping();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    // The client closed its end (which also releases the peer).
+    EXPECT_TRUE(client->Ping().IsIOError());
+    peer.join();
+    ::close(listen_fd);
+  }
 }
 
 TEST_F(ServerTest, UnknownMessageTypeGetsErrorAndClose) {
