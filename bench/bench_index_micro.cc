@@ -1,10 +1,14 @@
 // Microbenchmarks (google-benchmark): index build and predict costs per
 // type, plus the DESIGN.md ablations — PGM's EpsilonRecursive and
-// RadixSpline's RadixBits (the paper fixes them at 4 and 1).
+// RadixSpline's RadixBits (the paper fixes them at 4 and 1) — and the
+// CRC32C checksum cost on both its portable and hardware paths.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "bench/bench_common.h"
 #include "index/index.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "workload/dataset.h"
 
@@ -101,6 +105,28 @@ void BM_RadixSplineBits(benchmark::State& state) {
       static_cast<double>(index->MemoryUsage());
 }
 
+// Checksum cost per buffer: 64 B (a small wire frame), 172 B (one
+// perfbench WAL record) and 4 KiB (one io block). range(0) picks the path:
+// 0 = portable table loop, 1 = hardware (SSE4.2).
+void BM_Crc32c(benchmark::State& state) {
+  const bool hardware = state.range(0) != 0;
+  const size_t size = static_cast<size_t>(state.range(1));
+  if (hardware && !crc32c::IsHardwareAccelerated()) {
+    state.SkipWithError("no hardware CRC32C on this CPU");
+    return;
+  }
+  Random rnd(13);
+  std::string buf(size, '\0');
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        hardware ? crc32c::internal::ExtendHardware(0, buf.data(), size)
+                 : crc32c::internal::ExtendPortable(0, buf.data(), size));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(size));
+  state.SetLabel(hardware ? "sse4.2" : "portable");
+}
+
 void RegisterAll() {
   for (IndexType type : kAllIndexTypes) {
     for (int64_t boundary : {256, 32, 8}) {
@@ -124,6 +150,13 @@ void RegisterAll() {
     benchmark::RegisterBenchmark("BM_RadixSplineBits", BM_RadixSplineBits)
         ->Arg(bits)
         ->MinTime(0.05);
+  }
+  for (int64_t hardware : {0, 1}) {
+    for (int64_t size : {64, 172, 4096}) {
+      benchmark::RegisterBenchmark("BM_Crc32c", BM_Crc32c)
+          ->Args({hardware, size})
+          ->MinTime(0.05);
+    }
   }
 }
 

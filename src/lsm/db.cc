@@ -514,7 +514,8 @@ class DBImpl final : public DB {
       // The handle must stay unreleased for this call (db.h contract);
       // the view still takes refs OF ITS OWN because UnpinView releases
       // them and an iterator's view may legitimately outlive the handle
-      // (NewIterator(snap), then ReleaseSnapshot, then keep iterating).
+      // (an iterator opened on the snapshot, then ReleaseSnapshot, then keep
+      // iterating).
       const auto* snap = static_cast<const SnapshotImpl*>(snapshot);
       view.mem = snap->mem_;
       view.imm = snap->imm_;

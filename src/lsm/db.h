@@ -325,27 +325,15 @@ class DB {
                              size_t count,
                              std::vector<std::pair<Key, std::string>>* out) = 0;
 
-  // Convenience overloads with default read options. The snapshot-pointer
-  // forms mirror the pre-ReadOptions signatures (deprecated style; prefer
-  // passing ReadOptions explicitly).
+  // Convenience overloads with default read options.
   Status Get(Key key, std::string* value) {
     return Get(ReadOptions(), key, value);
-  }
-  Status Get(Key key, std::string* value, const Snapshot* snapshot) {
-    ReadOptions options;
-    options.snapshot = snapshot;
-    return Get(options, key, value);
   }
   Status MultiGet(std::span<const Key> keys, std::vector<std::string>* values,
                   std::vector<Status>* statuses) {
     return MultiGet(ReadOptions(), keys, values, statuses);
   }
   std::unique_ptr<Iterator> NewIterator() { return NewIterator(ReadOptions()); }
-  std::unique_ptr<Iterator> NewIterator(const Snapshot* snapshot) {
-    ReadOptions options;
-    options.snapshot = snapshot;
-    return NewIterator(options);
-  }
   Status RangeLookup(Key start, size_t count,
                      std::vector<std::pair<Key, std::string>>* out) {
     return RangeLookup(ReadOptions(), start, count, out);
